@@ -24,7 +24,8 @@
 //
 // The report gives offered/served/shed/error counts, sustained
 // throughput, and served-latency quantiles (p50/p99/p999) estimated
-// from an internal/obs histogram. -bench NAME additionally emits a
+// from an internal/obs histogram; a quantile past the histogram's top
+// bound prints as "≥bound". -bench NAME additionally emits a
 // `go test -bench`-formatted line that cmd/benchreport ingests
 // (`loadgen ... | benchreport -input -`).
 package main
@@ -81,6 +82,11 @@ type summary struct {
 	wall                          time.Duration
 	meanNs                        float64
 	p50, p99, p999                float64 // served latency, ns
+	// p50Over, p99Over and p999Over mark quantiles whose rank fell in
+	// the latency histogram's overflow bucket: the value is then the
+	// top finite bound, and the true latency is only known to be at
+	// least that.
+	p50Over, p99Over, p999Over bool
 }
 
 func (s summary) rps() float64 {
@@ -210,17 +216,43 @@ func execute(cfg genConfig, corpus [][]byte, schedule []arrival) summary {
 	wg.Wait()
 	wall := time.Since(start)
 
-	return summary{
+	s := summary{
 		offered: int64(len(schedule)),
 		served:  served.Load(),
 		shed:    shed.Load(),
 		errors:  errs.Load(),
 		wall:    wall,
 		meanNs:  lat.Mean(),
-		p50:     lat.Quantile(0.50),
-		p99:     lat.Quantile(0.99),
-		p999:    lat.Quantile(0.999),
 	}
+	s.p50, s.p50Over = quantile(lat, 0.50)
+	s.p99, s.p99Over = quantile(lat, 0.99)
+	s.p999, s.p999Over = quantile(lat, 0.999)
+	return s
+}
+
+// quantile returns h's q-quantile and whether its rank falls in the
+// overflow bucket, where Histogram.Quantile saturates at the top finite
+// bound.
+func quantile(h *obs.Histogram, q float64) (float64, bool) {
+	buckets := h.Buckets()
+	var total, finite uint64
+	for i, b := range buckets {
+		total += b.Count
+		if i < len(buckets)-1 {
+			finite += b.Count
+		}
+	}
+	return h.Quantile(q), total > 0 && float64(finite) < q*float64(total)
+}
+
+// fmtLatency renders a quantile for the human-readable line, as
+// "≥bound" when it saturated in the overflow bucket.
+func fmtLatency(ns float64, over bool) string {
+	d := time.Duration(ns).Round(time.Microsecond).String()
+	if over {
+		return "≥" + d
+	}
+	return d
 }
 
 // fire sends one request and classifies the outcome: 200 served (and
@@ -264,11 +296,8 @@ func fire(client *http.Client, base string, body []byte, salt, deadlineMS int64,
 func report(w io.Writer, cfg genConfig, s summary) {
 	fmt.Fprintf(w, "loadgen: served=%d shed=%d errors=%d of %d offered in %v\n",
 		s.served, s.shed, s.errors, s.offered, s.wall.Round(time.Millisecond))
-	fmt.Fprintf(w, "loadgen: sustained %.1f req/s; served latency p50=%v p99=%v p999=%v\n",
-		s.rps(),
-		time.Duration(s.p50).Round(time.Microsecond),
-		time.Duration(s.p99).Round(time.Microsecond),
-		time.Duration(s.p999).Round(time.Microsecond))
+	fmt.Fprintf(w, "loadgen: sustained %.1f req/s; served latency p50=%s p99=%s p999=%s\n",
+		s.rps(), fmtLatency(s.p50, s.p50Over), fmtLatency(s.p99, s.p99Over), fmtLatency(s.p999, s.p999Over))
 	if cfg.benchName != "" {
 		fmt.Fprintf(w, "Benchmark%s 	 %d 	 %.0f ns/op 	 %.2f req/s 	 %.0f p50-ns 	 %.0f p99-ns 	 %.0f p999-ns 	 %d shed 	 %d errors\n",
 			cfg.benchName, s.served, s.meanNs, s.rps(), s.p50, s.p99, s.p999, s.shed, s.errors)

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"soteria/internal/obs"
 )
 
 func TestRunFlagValidation(t *testing.T) {
@@ -177,6 +179,41 @@ func TestBenchLineFormat(t *testing.T) {
 		if !units[u] {
 			t.Fatalf("bench line missing unit %q: %q", u, benchLine)
 		}
+	}
+}
+
+// TestSaturatedQuantilesMarked: when every served latency lands past
+// the histogram's top bound, Quantile can only return that bound, so
+// the human line must print it as a lower bound ("≥") rather than a
+// measurement, while the -bench line keeps its numeric columns.
+func TestSaturatedQuantilesMarked(t *testing.T) {
+	bounds := obs.DurationBuckets()
+	top := bounds[len(bounds)-1]
+	over := obs.NewRegistry().Histogram("over", bounds)
+	for i := 0; i < 100; i++ {
+		over.Observe(5 * top)
+	}
+	s := summary{offered: 100, served: 100, wall: time.Second, meanNs: over.Mean()}
+	s.p50, s.p50Over = quantile(over, 0.50)
+	s.p99, s.p99Over = quantile(over, 0.99)
+	s.p999, s.p999Over = quantile(over, 0.999)
+	if !s.p50Over || !s.p99Over || !s.p999Over || s.p99 != top {
+		t.Fatalf("all-overflow histogram: p99=%v over=%v/%v/%v, want saturated at %v", s.p99, s.p50Over, s.p99Over, s.p999Over, top)
+	}
+	var out bytes.Buffer
+	report(&out, genConfig{benchName: "Loadgen/over"}, s)
+	bound := time.Duration(top).String()
+	if want := fmt.Sprintf("p50=≥%s p99=≥%s p999=≥%s", bound, bound, bound); !strings.Contains(out.String(), want) {
+		t.Fatalf("report does not mark saturated quantiles (want %q):\n%s", want, out.String())
+	}
+	if want := fmt.Sprintf(" %.0f p99-ns ", top); !strings.Contains(out.String(), want) {
+		t.Fatalf("bench line lost its numeric p99 column (want %q):\n%s", want, out.String())
+	}
+
+	inRange := obs.NewRegistry().Histogram("in", bounds)
+	inRange.Observe(top / 4)
+	if _, o := quantile(inRange, 0.99); o {
+		t.Fatal("in-range quantile reported as saturated")
 	}
 }
 

@@ -1,8 +1,7 @@
 // Command soterialint runs the repository's invariant analyzers
 // (internal/lint) over module packages: determinism of model-affecting
 // code, internal/par pool discipline, checked errors on persistence
-// paths, gram-key construction kept behind the ngram API,
-// relaxed-precision fast mode contained to serving paths, sync-value
+// paths, gram-key construction kept behind the ngram API, sync-value
 // copy safety, and context propagation through the serving tier. It is
 // part of the full verify pipeline (see ROADMAP.md) and backs
 // lint_repo_test.go, which fails `go test ./...` on any new violation.
@@ -18,8 +17,8 @@
 //
 // Analysis is interprocedural: a whole-repo call graph with
 // per-function summaries lets the analyzers follow wall-clock reads,
-// fast-mode toggles, discarded persistence errors, and dropped
-// contexts through wrapper functions. Results are memoized in an
+// discarded persistence errors, and dropped contexts through wrapper
+// functions. Results are memoized in an
 // on-disk fact cache (default <root>/.soterialint.cache) keyed by the
 // content hash of every analyzed directory, so an unchanged tree
 // re-lints without re-parsing anything; -no-cache bypasses it, -cache

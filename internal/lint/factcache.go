@@ -16,7 +16,7 @@ import (
 // factCacheSchema versions the on-disk cache layout; bump it whenever
 // the cached shape or any analyzer's semantics change so stale entries
 // self-invalidate.
-const factCacheSchema = 1
+const factCacheSchema = 2
 
 // RunOptions configures one driver-level run of the analyzer suite.
 type RunOptions struct {

@@ -91,7 +91,6 @@ func All() []*Analyzer {
 		HotAllocAnalyzer,
 		BatchMissAnalyzer,
 		ObsHotAnalyzer,
-		FastMathAnalyzer,
 		LockSafeAnalyzer,
 		CtxFlowAnalyzer,
 	}

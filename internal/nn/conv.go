@@ -84,7 +84,7 @@ func (c *Conv1D) Forward(x *Matrix, train bool) *Matrix {
 
 	out := ensure(&c.out, x.Rows, outLen*c.OutCh)
 	c.prodHdr = Matrix{Rows: x.Rows * outLen, Cols: c.OutCh, Data: out.Data}
-	gemm(&c.prodHdr, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false, false)
+	gemm(&c.prodHdr, cols, c.Weight.W, false, false, false, c.Bias.W.Data, false)
 	return out
 }
 
@@ -111,39 +111,25 @@ func (c *Conv1D) inferFused(x *Matrix, ws *Arena, relu bool) *Matrix {
 	k := c.Kernel * c.InCh
 	n := c.OutCh
 	out := ws.take(x.Rows, outLen*n)
-	fast := ws.fast
-	// The serial branch calls inferRows directly (no closure) so
-	// steady-state inference stays allocation-free; only the parallel
-	// split pays for its closure, mirroring gemm.
+	// Each batch row is one panel product: outLen output rows read from
+	// the input row with lda = Stride*InCh.
+	j := shardJob{
+		dst: out.Data, ldd: n, a: x.Data, lda: c.Stride * c.InCh,
+		b: c.Weight.W.Data, ldb: n, k: k, n: n,
+		bias: c.Bias.W.Data, relu: relu, panels: true,
+		batch: outLen, dStride: outLen * n, aStride: x.Cols,
+	}
 	perRow := outLen * k * n
 	if work := x.Rows * perRow; work < parallelThreshold || x.Rows < 2 || par.Workers() == 1 {
-		c.inferRows(out, x, 0, x.Rows, relu, fast)
+		j.run(0, x.Rows)
 	} else {
 		grain := parallelThreshold / perRow
 		if grain < 1 {
 			grain = 1
 		}
-		par.ForChunkedGrain(x.Rows, grain, func(blo, bhi int) {
-			c.inferRows(out, x, blo, bhi, relu, fast)
-		})
+		j.shard(x.Rows, grain)
 	}
 	return out
-}
-
-// inferRows runs the register-blocked panel kernel over batch rows
-// [blo, bhi), one A-panel per input row (bit-identical to the blocked
-// kernel — see gemmPanels).
-func (c *Conv1D) inferRows(out, x *Matrix, blo, bhi int, relu, fast bool) {
-	outLen := c.OutLen()
-	k := c.Kernel * c.InCh
-	n := c.OutCh
-	w, bias := c.Weight.W.Data, c.Bias.W.Data
-	lda := c.Stride * c.InCh
-	for b := blo; b < bhi; b++ {
-		dstRow := out.Data[b*outLen*n : (b+1)*outLen*n]
-		srcRow := x.Data[b*x.Cols : (b+1)*x.Cols]
-		gemmPanels(dstRow, n, srcRow, lda, w, n, 0, outLen, k, n, bias, relu, fast)
-	}
 }
 
 // backwardParams accumulates the weight and bias gradients only,

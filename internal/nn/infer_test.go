@@ -59,26 +59,6 @@ func TestPredictIntoConvStack(t *testing.T) {
 	}
 }
 
-// TestPredictIntoBatchNormUsesRunningStats pins the batch-norm infer
-// path to the running-statistics transform.
-func TestPredictIntoBatchNormUsesRunningStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	bn := NewBatchNorm(4)
-	n := NewNetwork(NewDense(6, 4, rng), bn, NewReLU())
-	x := randMatrix(rng, 32, 6)
-	for i := 0; i < 10; i++ {
-		n.Forward(x, true)
-	}
-	got := n.PredictInto(nil, x)
-	// Reference: standalone layer-by-layer eval forwards.
-	h := n.Layers[0].Forward(x, false)
-	h = n.Layers[1].Forward(h, false)
-	h = n.Layers[2].Forward(h, false)
-	if d := maxAbsDiff(got, h); d != 0 {
-		t.Fatalf("batchnorm inference diverges by %g", d)
-	}
-}
-
 // TestPredictIntoZeroAllocSteadyState is the satellite guard: once the
 // arena and the caller's dst are warm, inference on a fitted network
 // performs no allocation at all.

@@ -96,6 +96,28 @@ func TestTrainerEarlyStop(t *testing.T) {
 	}
 }
 
+func TestTrainerEarlyStoppingRestoresBest(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	net := NewNetwork(NewDense(3, 16, rng), NewReLU(), NewDense(16, 1, rng))
+	// Tiny noisy dataset: prone to overfit, validation loss rises.
+	x := randMatrix(rng, 30, 3)
+	y := NewMatrix(30, 1)
+	for i := 0; i < 30; i++ {
+		y.Set(i, 0, x.At(i, 0)+0.3*rng.NormFloat64())
+	}
+	tr := Trainer{Net: net, Loss: MSE{}, Opt: NewAdam(0.02)}
+	losses, err := tr.Fit(x, y, TrainConfig{
+		Epochs: 500, BatchSize: 8, Seed: 2,
+		ValFraction: 0.3, Patience: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(losses) >= 500 {
+		t.Fatalf("early stopping never triggered: %d epochs", len(losses))
+	}
+}
+
 func TestTrainingDeterministicPerSeed(t *testing.T) {
 	build := func() (*Network, *Trainer) {
 		rng := rand.New(rand.NewSource(5))

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Full per-PR verification: build, tests, vet, formatting, the repo's
-# own ten-analyzer lint pass, and the race detector over every package
-# with concurrency. Mirrors the "Full verify" block in ROADMAP.md.
+# Full per-PR verification: build, tests, vet, formatting, the
+# allocation and equivalence guards on both the single-worker and the
+# sharded pool, the repo's own nine-analyzer lint pass, and the race
+# detector over every package with concurrency. Mirrors the "Full
+# verify" block in ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +12,16 @@ go build ./...
 
 echo "== go test"
 go test ./...
+
+echo "== allocation and equivalence guards at GOMAXPROCS=1 and 4"
+# par's shared pool sizes itself once, at init, from GOMAXPROCS, so the
+# serial and sharded dispatch paths each need their own test process:
+# go test -cpu would rerun the tests against the one pool already built.
+# -count=1 because the test cache does not key on GOMAXPROCS.
+for procs in 1 4; do
+    GOMAXPROCS=$procs go test -count=1 -run 'Alloc|Match|Equivalen|Shard|Parallel|Memoized' \
+        ./internal/nn ./internal/core ./internal/autoenc ./internal/cnn
+done
 
 echo "== go vet"
 go vet ./...
@@ -22,7 +34,7 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== soterialint (ten analyzers, interprocedural facts)"
+echo "== soterialint (nine analyzers, interprocedural facts)"
 go run ./cmd/soterialint ./...
 
 echo "== race suite"
