@@ -82,9 +82,8 @@ func sameDecision(a, b *Decision) bool {
 }
 
 // TestCachedDecisionEquivalence pins the acceptance property: for the
-// same (content, salt, model), the uncached path, the cache-miss path,
-// the verdict-hit path, and the feature-tier-only path all produce
-// bit-identical decisions.
+// same (content, salt, model), the uncached path, the cache-miss path
+// and the verdict-hit path all produce bit-identical decisions.
 func TestCachedDecisionEquivalence(t *testing.T) {
 	p, _, raws := cachePipeline(t)
 	raw := raws[0]
@@ -105,15 +104,15 @@ func TestCachedDecisionEquivalence(t *testing.T) {
 		}
 	}()
 
-	miss, err := p.AnalyzeBinary(raw, salt) // full miss, fills both tiers
+	miss, err := p.AnalyzeBinary(raw, salt) // miss, fills the verdict
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameDecision(baseline, miss) {
 		t.Fatalf("miss path differs: %+v vs %+v", miss, baseline)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("miss filled %d entries, want verdict+features", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("miss filled %d entries, want 1 verdict", c.Len())
 	}
 	hit, err := p.AnalyzeBinary(raw, salt) // verdict hit
 	if err != nil {
@@ -121,30 +120,6 @@ func TestCachedDecisionEquivalence(t *testing.T) {
 	}
 	if !sameDecision(baseline, hit) {
 		t.Fatalf("verdict-hit path differs: %+v vs %+v", hit, baseline)
-	}
-
-	// Feature-tier-only: a fresh cache seeded with just the feature blob
-	// (the state after a verdict eviction) must rescore to the identical
-	// decision and backfill the verdict tier.
-	k := p.byteKey(raw, salt)
-	blob, ok := c.Features(k)
-	if !ok {
-		t.Fatal("feature tier not filled")
-	}
-	c2 := memCache(t)
-	c2.PutFeatures(k, append([]float64(nil), blob...))
-	if err := p.AttachCache(c2); err != nil {
-		t.Fatal(err)
-	}
-	featHit, err := p.AnalyzeBinary(raw, salt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameDecision(baseline, featHit) {
-		t.Fatalf("feature-hit path differs: %+v vs %+v", featHit, baseline)
-	}
-	if _, ok := c2.Verdict(k); !ok {
-		t.Fatal("feature hit did not backfill the verdict tier")
 	}
 
 	// Different salt must not be served from the cache.
@@ -273,9 +248,9 @@ func TestSaveLoadFingerprintStable(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBinaryBatchPartition mixes verdict hits, feature hits and
-// misses in one batch and checks every decision matches the uncached
-// baseline, and that a fully warm re-run does no scoring work.
+// TestAnalyzeBinaryBatchPartition mixes verdict hits and misses in one
+// batch and checks every decision matches the uncached baseline, and
+// that a fully warm re-run does no scoring work.
 func TestAnalyzeBinaryBatchPartition(t *testing.T) {
 	p, reg, raws := cachePipeline(t)
 	n := len(raws)
@@ -298,7 +273,7 @@ func TestAnalyzeBinaryBatchPartition(t *testing.T) {
 		}
 	}()
 
-	// Pre-warm a third of the keys so the batch sees all three kinds.
+	// Pre-warm a third of the keys so the batch sees hits and misses.
 	for i := 0; i < n; i += 3 {
 		if _, err := p.AnalyzeBinary(raws[i], salts[i]); err != nil {
 			t.Fatal(err)
@@ -314,8 +289,8 @@ func TestAnalyzeBinaryBatchPartition(t *testing.T) {
 		}
 	}
 
-	// Fully warm: the whole batch must serve from the verdict tier
-	// without scoring a single sample.
+	// Fully warm: the whole batch must serve from the cache without
+	// scoring a single sample.
 	before := samplesCount(reg)
 	again, err := p.AnalyzeBinaryBatch(raws, salts)
 	if err != nil {
@@ -328,6 +303,59 @@ func TestAnalyzeBinaryBatchPartition(t *testing.T) {
 		if !sameDecision(again[i], baseline[i]) {
 			t.Fatalf("sample %d: warm batch %+v != baseline %+v", i, again[i], baseline[i])
 		}
+	}
+}
+
+// TestCacheCountersMixedBatch pins the cache accounting of a mixed
+// AnalyzeBinaryBatch: each sample is looked up once, so cache.miss
+// moves by exactly the miss count, and cache.hit and the cache.hit_ns
+// histogram move by exactly the hit count.
+func TestCacheCountersMixedBatch(t *testing.T) {
+	p, reg, raws := cachePipeline(t)
+	c, err := store.Open(store.Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if err := p.AttachCache(c); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := p.AttachCache(nil); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	salts := make([]int64, len(raws))
+	for i := range salts {
+		salts[i] = int64(300 + i)
+	}
+	hits := 0
+	for i := 0; i < len(raws); i += 3 {
+		if _, err := p.AnalyzeBinary(raws[i], salts[i]); err != nil {
+			t.Fatal(err)
+		}
+		hits++
+	}
+	misses := len(raws) - hits
+
+	hitC, missC := reg.Counter("cache.hit"), reg.Counter("cache.miss")
+	hitNs := reg.Histogram("cache.hit_ns", obs.DurationBuckets())
+	hit0, miss0, hitNs0 := hitC.Value(), missC.Value(), hitNs.Count()
+	if _, err := p.AnalyzeBinaryBatch(raws, salts); err != nil {
+		t.Fatal(err)
+	}
+	if d := missC.Value() - miss0; d != uint64(misses) {
+		t.Errorf("cache.miss moved by %d for %d misses", d, misses)
+	}
+	if d := hitC.Value() - hit0; d != uint64(hits) {
+		t.Errorf("cache.hit moved by %d for %d hits", d, hits)
+	}
+	if d := hitNs.Count() - hitNs0; d != uint64(hits) {
+		t.Errorf("cache.hit_ns recorded %d observations for %d hits", d, hits)
 	}
 }
 

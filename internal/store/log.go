@@ -4,14 +4,16 @@ package store
 //
 //	header   "SOTC" | u32 version            (8 bytes)
 //	record   u32 len | u32 crc32(payload) | payload
-//	payload  kind u8 | content [32] | salt u64 | model [32] | body
-//	body     verdict:  flag u8 | u64 float bits of RE | u32 class
-//	         features: u32 count | count × u64 float bits
+//	payload  content [32] | salt u64 | model [32] |
+//	         flag u8 | u64 float bits of RE | u32 class   (85 bytes)
 //
-// All integers are little-endian. The CRC plus the length prefix makes
-// a torn tail self-evident on replay: the first record that fails the
-// length or checksum ends the replay and the file is truncated back to
-// the end of the last intact record.
+// All integers are little-endian. Every payload has the same length,
+// so the length prefix and the CRC make a torn tail self-evident on
+// replay: the first record with any other length or a failing checksum
+// ends the replay, and the file is truncated back to the end of the
+// last intact record. Version 1 logs also carried feature-vector
+// records; Open refuses them rather than replaying up to the first
+// such record and truncating every verdict after it.
 
 import (
 	"encoding/binary"
@@ -25,9 +27,10 @@ import (
 const (
 	logName    = "cache.log"
 	logMagic   = "SOTC"
-	logVersion = 1
+	logVersion = 2
 
-	maxRecordLen = 64 << 20 // sanity bound on one record's payload
+	payloadLen = 32 + 8 + 32 + 1 + 8 + 4
+	frameLen   = 8 + payloadLen
 )
 
 // openLog replays (or creates) the log at path and leaves c.f open for
@@ -77,33 +80,20 @@ func (c *Cache) replay(f *os.File) (int64, error) {
 		return 0, fmt.Errorf("store: %s is not a cache log", f.Name())
 	}
 	good := int64(len(hdr))
-	var frame [8]byte
-	var payload []byte
+	var rec [frameLen]byte
 	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			return good, nil // clean EOF or torn frame: stop here
-		}
-		length := binary.LittleEndian.Uint32(frame[:4])
-		sum := binary.LittleEndian.Uint32(frame[4:])
-		if length == 0 || length > maxRecordLen {
+		// A short read (clean EOF or torn frame), a frame claiming any
+		// other payload length, or a checksum mismatch ends the replay.
+		if _, err := io.ReadFull(f, rec[:]); err != nil {
 			return good, nil
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
+		payload := rec[8:]
+		if binary.LittleEndian.Uint32(rec[:4]) != payloadLen ||
+			binary.LittleEndian.Uint32(rec[4:8]) != crc32.ChecksumIEEE(payload) {
 			return good, nil
 		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return good, nil
-		}
-		e, ok := decodeRecord(payload)
-		if !ok {
-			return good, nil
-		}
-		c.insert(e, false)
-		good += int64(len(frame)) + int64(length)
+		c.insert(decodeRecord(payload), false)
+		good += frameLen
 	}
 }
 
@@ -132,7 +122,7 @@ const rotateThreshold = 1 << 20
 // log, so a crash at any point leaves either the old or the new log
 // intact. Caller holds c.mu.
 func (c *Cache) maybeRotateLocked() {
-	if c.logBytes < rotateThreshold || c.logBytes < 2*c.live {
+	if c.logBytes < rotateThreshold || c.logBytes < 2*c.liveLocked() {
 		return
 	}
 	path := c.f.Name()
@@ -197,67 +187,30 @@ func (c *Cache) writeSnapshot(w io.Writer) (int64, error) {
 func appendRecord(dst []byte, e *entry) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame placeholder
 	body := len(dst)
-	dst = append(dst, e.ik.kind)
-	dst = append(dst, e.ik.key.Content[:]...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.ik.key.Salt))
-	dst = append(dst, e.ik.key.Model[:]...)
-	switch e.ik.kind {
-	case kindVerdict:
-		flag := byte(0)
-		if e.verdict.Adversarial {
-			flag = 1
-		}
-		dst = append(dst, flag)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.verdict.RE))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.verdict.Class))
-	case kindFeatures:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.feats)))
-		for _, v := range e.feats {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+	dst = append(dst, e.key.Content[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.key.Salt))
+	dst = append(dst, e.key.Model[:]...)
+	flag := byte(0)
+	if e.verdict.Adversarial {
+		flag = 1
 	}
+	dst = append(dst, flag)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.verdict.RE))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.verdict.Class))
 	payload := dst[body:]
 	binary.LittleEndian.PutUint32(dst[body-8:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[body-4:], crc32.ChecksumIEEE(payload))
 	return dst
 }
 
-// decodeRecord parses one payload back into an entry.
-func decodeRecord(p []byte) (*entry, bool) {
-	const keyLen = 1 + 32 + 8 + 32
-	if len(p) < keyLen {
-		return nil, false
-	}
+// decodeRecord parses one payloadLen-byte payload back into an entry.
+func decodeRecord(p []byte) *entry {
 	e := &entry{}
-	e.ik.kind = p[0]
-	copy(e.ik.key.Content[:], p[1:33])
-	e.ik.key.Salt = int64(binary.LittleEndian.Uint64(p[33:41]))
-	copy(e.ik.key.Model[:], p[41:73])
-	body := p[keyLen:]
-	switch e.ik.kind {
-	case kindVerdict:
-		if len(body) != 1+8+4 {
-			return nil, false
-		}
-		e.verdict.Adversarial = body[0] == 1
-		e.verdict.RE = math.Float64frombits(binary.LittleEndian.Uint64(body[1:9]))
-		e.verdict.Class = int32(binary.LittleEndian.Uint32(body[9:13]))
-		e.size = entryOverhead
-	case kindFeatures:
-		if len(body) < 4 {
-			return nil, false
-		}
-		n := binary.LittleEndian.Uint32(body[:4])
-		if len(body) != 4+8*int(n) {
-			return nil, false
-		}
-		e.feats = make([]float64, n)
-		for i := range e.feats {
-			e.feats[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[4+8*i:]))
-		}
-		e.size = entryOverhead + 8*int64(n)
-	default:
-		return nil, false
-	}
-	return e, true
+	copy(e.key.Content[:], p[0:32])
+	e.key.Salt = int64(binary.LittleEndian.Uint64(p[32:40]))
+	copy(e.key.Model[:], p[40:72])
+	e.verdict.Adversarial = p[72] == 1
+	e.verdict.RE = math.Float64frombits(binary.LittleEndian.Uint64(p[73:81]))
+	e.verdict.Class = int32(binary.LittleEndian.Uint32(p[81:85]))
+	return e
 }

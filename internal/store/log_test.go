@@ -1,8 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -25,29 +30,27 @@ func closeCache(t *testing.T, c *Cache) {
 func TestRestartReplay(t *testing.T) {
 	dir := t.TempDir()
 	c := openTemp(t, dir, 0)
-	want := Verdict{Adversarial: true, RE: 3.25, Class: 1}
-	feats := []float64{0.5, -1, 42}
-	c.PutVerdict(testKey(1), want)
-	c.PutFeatures(testKey(1), feats)
-	c.PutVerdict(testKey(2), Verdict{Class: 2})
+	want := []Verdict{
+		{Adversarial: true, RE: 3.25, Class: 1},
+		{RE: -0.5, Class: 2},
+		{Adversarial: true, RE: math.Inf(1), Class: -1},
+	}
+	for i, v := range want {
+		c.PutVerdict(testKey(byte(i+1)), v)
+	}
 	closeCache(t, c)
 
 	// A fresh Open over the same dir must serve everything as hits.
 	c2 := openTemp(t, dir, 0)
 	defer closeCache(t, c2)
-	if c2.Len() != 3 {
-		t.Fatalf("replayed Len = %d, want 3", c2.Len())
+	if c2.Len() != len(want) {
+		t.Fatalf("replayed Len = %d, want %d", c2.Len(), len(want))
 	}
-	got, ok := c2.Verdict(testKey(1))
-	if !ok || got != want {
-		t.Fatalf("replayed verdict = %+v, %v", got, ok)
-	}
-	f, ok := c2.Features(testKey(1))
-	if !ok || len(f) != 3 || f[0] != 0.5 || f[1] != -1 || f[2] != 42 {
-		t.Fatalf("replayed features = %v, %v", f, ok)
-	}
-	if _, ok := c2.Verdict(testKey(2)); !ok {
-		t.Fatal("second key lost across restart")
+	for i, v := range want {
+		got, ok := c2.Verdict(testKey(byte(i + 1)))
+		if !ok || got != v {
+			t.Fatalf("key %d: replayed verdict = %+v, %v; want %+v", i+1, got, ok, v)
+		}
 	}
 }
 
@@ -155,16 +158,11 @@ func TestNotACacheLog(t *testing.T) {
 func TestRotationCompactsDeadWeight(t *testing.T) {
 	dir := t.TempDir()
 	c := openTemp(t, dir, 0)
-	feats := make([]float64, 4096) // ~32KB per record
-	for i := range feats {
-		feats[i] = float64(i)
-	}
-	// ~64 overwrites of a 32KB record pass the 1MB threshold with only
-	// one record live.
-	for i := 0; i < 80; i++ {
-		feats[0] = float64(i)
-		put := append([]float64(nil), feats...)
-		c.PutFeatures(testKey(1), put)
+	// 12,000 overwrites of a 93-byte record pass the 1 MiB threshold
+	// (about 11,275 records) with only one record live.
+	const writes = 12000
+	for i := 0; i < writes; i++ {
+		c.PutVerdict(testKey(1), Verdict{RE: float64(i), Class: int32(i)})
 	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
@@ -180,9 +178,9 @@ func TestRotationCompactsDeadWeight(t *testing.T) {
 
 	c2 := openTemp(t, dir, 0)
 	defer closeCache(t, c2)
-	f, ok := c2.Features(testKey(1))
-	if !ok || f[0] != 79 {
-		t.Fatalf("post-rotation replay = %v, %v; want last write", f[:1], ok)
+	v, ok := c2.Verdict(testKey(1))
+	if !ok || v.Class != writes-1 || v.RE != writes-1 {
+		t.Fatalf("post-rotation replay = %+v, %v; want last write", v, ok)
 	}
 	if c2.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c2.Len())
@@ -221,7 +219,7 @@ func TestRotationPreservesLRUOrder(t *testing.T) {
 
 // maybeRotateLockedForTest forces a rotation regardless of thresholds.
 func (c *Cache) maybeRotateLockedForTest() {
-	c.logBytes = rotateThreshold + 2*c.live
+	c.logBytes = rotateThreshold + 2*c.liveLocked()
 	c.maybeRotateLocked()
 }
 
@@ -253,4 +251,169 @@ func TestEvictedEntriesStayDeadAcrossRestart(t *testing.T) {
 			t.Fatalf("recent key %d lost", i)
 		}
 	}
+}
+
+// TestOpenRefusesV1Log pins the format bump: a version-1 log, whose
+// feature-vector records a v2 replay cannot parse, is refused with an
+// error and left byte-identical, rather than replayed up to its first
+// feature record and truncated there (losing every verdict after it).
+func TestOpenRefusesV1Log(t *testing.T) {
+	v1Record := func(dst []byte, kind byte, k Key, body []byte) []byte {
+		payload := append([]byte{kind}, k.Content[:]...)
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(k.Salt))
+		payload = append(payload, k.Model[:]...)
+		payload = append(payload, body...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+		dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+		return append(dst, payload...)
+	}
+	verdictBody := []byte{1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 2, 0, 0, 0} // adversarial, RE 1.0, class 2
+	featuresBody := binary.LittleEndian.AppendUint32(nil, 2)
+	featuresBody = binary.LittleEndian.AppendUint64(featuresBody, math.Float64bits(0.5))
+	featuresBody = binary.LittleEndian.AppendUint64(featuresBody, math.Float64bits(-1))
+
+	raw := binary.LittleEndian.AppendUint32([]byte(logMagic), 1)
+	raw = v1Record(raw, 1, testKey(1), verdictBody)
+	raw = v1Record(raw, 2, testKey(1), featuresBody)
+	raw = v1Record(raw, 1, testKey(2), verdictBody)
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, logName)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Open(Config{Dir: dir}); err == nil {
+		closeCache(t, c)
+		t.Fatal("Open accepted a version-1 log")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, raw) {
+		t.Fatalf("refused log was modified: %d bytes, was %d", len(got), len(raw))
+	}
+}
+
+// TestReplayBoundsClaimedLength checks that replay never sizes a
+// buffer from a frame's claimed length: a frame claiming a payload just
+// under 64 MiB ends the replay like a torn frame, is truncated away,
+// and costs Open well under 1 MiB of allocation.
+func TestReplayBoundsClaimedLength(t *testing.T) {
+	raw := binary.LittleEndian.AppendUint32([]byte(logMagic), logVersion)
+	raw = binary.LittleEndian.AppendUint32(raw, 64<<20-1)
+	raw = binary.LittleEndian.AppendUint32(raw, 0)
+	raw = append(raw, make([]byte, 4096)...)
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, logName)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Open(Config{Dir: dir})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeCache(t, c)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Open allocated %d bytes replaying one bogus frame", alloc)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("replayed Len = %d, want 0", c.Len())
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 8 {
+		t.Fatalf("log is %d bytes after replay, want the 8-byte header", fi.Size())
+	}
+}
+
+// FuzzReplay feeds arbitrary bytes to Open as the record log. Open must
+// never panic; a file without a v2 header (other than an empty one) is
+// refused and left untouched; a file with one opens, keeps an intact
+// prefix ending on a record boundary, and reopens to the same verdicts.
+func FuzzReplay(f *testing.F) {
+	dir := f.TempDir()
+	c, err := Open(Config{Dir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	c.PutVerdict(testKey(1), Verdict{Adversarial: true, RE: 3.25, Class: 1})
+	c.PutVerdict(testKey(2), Verdict{RE: math.NaN(), Class: 2})
+	c.PutVerdict(testKey(1), Verdict{RE: -1, Class: 3})
+	if err := c.Close(); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(good)
+	for _, n := range []int{4, 8, 8 + 4, 8 + frameLen - 1, 8 + frameLen + 40, len(good) - 1} {
+		f.Add(good[:n]) // torn
+	}
+	for _, i := range []int{2, 5, 8, 12, 8 + frameLen + 30, len(good) - 1} {
+		flipped := bytes.Clone(good)
+		flipped[i] ^= 0x10
+		f.Add(flipped)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, logName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		validHeader := len(data) >= 8 && string(data[:4]) == logMagic &&
+			binary.LittleEndian.Uint32(data[4:8]) == logVersion
+		c, err := Open(Config{Dir: dir})
+		if err != nil {
+			if validHeader || len(data) == 0 {
+				t.Fatalf("Open refused a log with a valid header: %v", err)
+			}
+			if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, data) {
+				t.Fatalf("refused file was modified (read err %v)", rerr)
+			}
+			return
+		}
+		if !validHeader && len(data) != 0 {
+			closeCache(t, c)
+			t.Fatal("Open accepted a file without a v2 header")
+		}
+		want := make(map[Key]Verdict, c.Len())
+		for k, e := range c.index {
+			want[k] = e.verdict
+		}
+		closeCache(t, c)
+
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > 0 && !bytes.HasPrefix(data, kept) {
+			t.Fatal("replay kept bytes that are not a prefix of the input")
+		}
+		if len(kept) < 8 || (len(kept)-8)%frameLen != 0 {
+			t.Fatalf("replay kept %d bytes: not a record boundary", len(kept))
+		}
+
+		c2 := openTemp(t, dir, 0)
+		defer closeCache(t, c2)
+		if c2.Len() != len(want) {
+			t.Fatalf("reopened Len = %d, want %d", c2.Len(), len(want))
+		}
+		for k, v := range want {
+			got, ok := c2.Verdict(k)
+			if !ok || got.Adversarial != v.Adversarial || got.Class != v.Class ||
+				math.Float64bits(got.RE) != math.Float64bits(v.RE) {
+				t.Fatalf("reopened verdict for salt %d = %+v, %v; want %+v", k.Salt, got, ok, v)
+			}
+		}
+	})
 }

@@ -1,8 +1,8 @@
 // Package store is a crash-safe, content-addressed result cache for
-// the serving path: it memoizes extracted feature vectors and final
-// verdicts keyed by (content hash, salt, model fingerprint), so a
-// repeat submission of byte-identical input skips the entire
-// extract+score pipeline and becomes a hash lookup.
+// the serving path: it memoizes final verdicts keyed by (content hash,
+// salt, model fingerprint), so a repeat submission of byte-identical
+// input skips the entire extract+score pipeline and becomes a hash
+// lookup.
 //
 // The design is an append-only record log with an in-memory index:
 //
@@ -14,10 +14,11 @@
 //     file is truncated back to the last intact record and appending
 //     resumes from there, so a crash costs at most the record being
 //     written.
-//   - The index is LRU-bounded by a configurable byte budget. When the
-//     log accumulates enough dead weight (overwritten or evicted
-//     records), it is compacted by writing the live entries to a
-//     temporary file and atomically renaming it over the log.
+//   - The index is LRU-bounded by a configurable byte budget, charged
+//     at a fixed cost per verdict. When the log accumulates enough
+//     dead weight (overwritten or evicted records), it is compacted by
+//     writing the live entries to a temporary file and atomically
+//     renaming it over the log.
 //
 // Entries are never stale by construction: the key includes a model
 // fingerprint, so a retrained model addresses a disjoint key space and
@@ -75,43 +76,28 @@ type Config struct {
 // DefaultMaxBytes is the byte budget used when Config.MaxBytes is unset.
 const DefaultMaxBytes = 256 << 20
 
-// entry kinds, also the on-disk record kind byte.
-const (
-	kindVerdict  byte = 1
-	kindFeatures byte = 2
-)
-
-// indexKey addresses one entry: the two tiers of the same Key are
-// independent entries with independent recency.
-type indexKey struct {
-	key  Key
-	kind byte
-}
-
-// entry is one cached value, intrusively linked into the LRU list
+// entry is one cached verdict, intrusively linked into the LRU list
 // (head side is most recently used).
 type entry struct {
-	ik         indexKey
-	verdict    Verdict   // kind == kindVerdict
-	feats      []float64 // kind == kindFeatures; read-only once stored
-	size       int64     // accounted bytes
+	key        Key
+	verdict    Verdict
 	prev, next *entry
 }
 
-// entryOverhead approximates the fixed per-entry cost (key, pointers,
-// map slot) charged against the byte budget on top of the payload.
+// entryOverhead approximates the in-memory cost of one entry (key,
+// verdict, pointers, map slot); the byte budget is charged this much
+// per cached verdict.
 const entryOverhead = 128
 
 // Cache is the content-addressed result cache. See the package comment
 // for the design; construct with Open.
 type Cache struct {
-	mu      sync.Mutex
-	max     int64
-	index   map[indexKey]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
-	live    int64  // accounted bytes of all indexed entries
-	flights map[Key]*Flight
+	mu         sync.Mutex
+	maxEntries int // byte budget / entryOverhead
+	index      map[Key]*entry
+	head       *entry // most recently used
+	tail       *entry // least recently used
+	flights    map[Key]*Flight
 
 	// log state; f is nil when memory-only or after an I/O error
 	// demoted the cache to memory-only.
@@ -136,10 +122,10 @@ func Open(cfg Config) (*Cache, error) {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
 	c := &Cache{
-		max:     cfg.MaxBytes,
-		index:   make(map[indexKey]*entry),
-		flights: make(map[Key]*Flight),
-		dir:     cfg.Dir,
+		maxEntries: int(cfg.MaxBytes / entryOverhead),
+		index:      make(map[Key]*entry),
+		flights:    make(map[Key]*Flight),
+		dir:        cfg.Dir,
 	}
 	if r := cfg.Obs; r != nil {
 		c.hits = r.Counter("cache.hit")
@@ -155,7 +141,7 @@ func Open(cfg Config) (*Cache, error) {
 			return nil, err
 		}
 	}
-	c.bytes.Set(float64(c.live))
+	c.bytes.Set(float64(c.liveLocked()))
 	return c, nil
 }
 
@@ -165,7 +151,7 @@ func (c *Cache) Verdict(k Key) (Verdict, bool) {
 		return Verdict{}, false
 	}
 	c.mu.Lock()
-	e, ok := c.index[indexKey{k, kindVerdict}]
+	e, ok := c.index[k]
 	var v Verdict
 	if ok {
 		c.touch(e)
@@ -180,74 +166,36 @@ func (c *Cache) Verdict(k Key) (Verdict, bool) {
 	return v, ok
 }
 
-// Features returns the cached feature blob for k, refreshing its
-// recency. The returned slice is shared with the cache and MUST be
-// treated as read-only.
-func (c *Cache) Features(k Key) ([]float64, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	e, ok := c.index[indexKey{k, kindFeatures}]
-	var f []float64
-	if ok {
-		c.touch(e)
-		f = e.feats
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
-	return f, ok
-}
-
 // PutVerdict stores the verdict for k. Best-effort on the durability
 // side: an append error demotes the cache to memory-only (see Err).
 func (c *Cache) PutVerdict(k Key, v Verdict) {
 	if c == nil {
 		return
 	}
-	c.put(&entry{ik: indexKey{k, kindVerdict}, verdict: v, size: entryOverhead})
-}
-
-// PutFeatures stores the feature blob for k, taking ownership of vals
-// (the caller must not mutate it afterwards).
-func (c *Cache) PutFeatures(k Key, vals []float64) {
-	if c == nil {
-		return
-	}
-	c.put(&entry{ik: indexKey{k, kindFeatures}, feats: vals, size: entryOverhead + 8*int64(len(vals))})
-}
-
-// put inserts e, evicts past the budget, and appends the record to the
-// log. An entry that alone exceeds the whole budget is dropped.
-func (c *Cache) put(e *entry) {
-	if e.size > c.max {
-		return
-	}
 	c.mu.Lock()
-	c.insert(e, true)
+	c.insert(&entry{key: k, verdict: v}, true)
+	live := c.liveLocked()
 	c.mu.Unlock()
-	c.bytes.Set(float64(c.liveBytes()))
+	c.bytes.Set(float64(live))
 }
 
-// insert is put under c.mu; replay reuses it with persist=false.
+// insert indexes e as the most recent entry, evicts past the budget,
+// and (with persist) appends the record to the log; replay reuses it
+// with persist=false. A budget too small for a single entry caches
+// nothing. Caller holds c.mu.
 func (c *Cache) insert(e *entry, persist bool) {
-	if old, ok := c.index[e.ik]; ok {
-		c.unlink(old)
-		delete(c.index, old.ik)
-		c.live -= old.size
+	if c.maxEntries == 0 {
+		return
 	}
-	c.index[e.ik] = e
+	if old, ok := c.index[e.key]; ok {
+		c.unlink(old)
+	}
+	c.index[e.key] = e
 	c.linkFront(e)
-	c.live += e.size
-	for c.live > c.max && c.tail != nil {
+	for len(c.index) > c.maxEntries {
 		lru := c.tail
 		c.unlink(lru)
-		delete(c.index, lru.ik)
-		c.live -= lru.size
+		delete(c.index, lru.key)
 		c.evicts.Inc()
 	}
 	if persist && c.f != nil {
@@ -290,14 +238,10 @@ func (c *Cache) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-// liveBytes returns the accounted in-memory bytes.
-func (c *Cache) liveBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live
-}
+// liveLocked returns the accounted in-memory bytes. Caller holds c.mu.
+func (c *Cache) liveLocked() int64 { return int64(len(c.index)) * entryOverhead }
 
-// Len returns the number of cached entries (both tiers).
+// Len returns the number of cached verdicts.
 func (c *Cache) Len() int {
 	if c == nil {
 		return 0
@@ -367,7 +311,7 @@ func (c *Cache) Join(k Key) (v Verdict, hit bool, fl *Flight, leader bool) {
 		return Verdict{}, false, nil, true
 	}
 	c.mu.Lock()
-	if e, ok := c.index[indexKey{k, kindVerdict}]; ok {
+	if e, ok := c.index[k]; ok {
 		c.touch(e)
 		v = e.verdict
 		c.mu.Unlock()

@@ -39,21 +39,14 @@ func TestMemoryRoundTrip(t *testing.T) {
 		t.Fatalf("Verdict = %+v, %v; want %+v, true", got, ok, want)
 	}
 
-	feats := []float64{1, 2.5, -3, 0}
-	c.PutFeatures(k, feats)
-	f, ok := c.Features(k)
-	if !ok || len(f) != len(feats) {
-		t.Fatalf("Features = %v, %v", f, ok)
+	// A second write to the same Key replaces the verdict.
+	want.Class = 1
+	c.PutVerdict(k, want)
+	if got, _ := c.Verdict(k); got != want {
+		t.Fatalf("overwritten Verdict = %+v, want %+v", got, want)
 	}
-	for i := range feats {
-		if f[i] != feats[i] {
-			t.Fatalf("feats[%d] = %v want %v", i, f[i], feats[i])
-		}
-	}
-
-	// The two tiers are independent entries under one Key.
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 
 	// A different salt must miss.
@@ -73,11 +66,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
 	c.PutVerdict(testKey(1), Verdict{})
-	c.PutFeatures(testKey(1), []float64{1})
 	if _, ok := c.Verdict(testKey(1)); ok {
-		t.Fatal("nil cache hit")
-	}
-	if _, ok := c.Features(testKey(1)); ok {
 		t.Fatal("nil cache hit")
 	}
 	if _, hit, fl, leader := c.Join(testKey(1)); hit || fl != nil || !leader {
@@ -185,24 +174,38 @@ func TestLRUAgainstReferenceModel(t *testing.T) {
 	}
 }
 
+// TestOversizeEntryDropped checks that a budget smaller than one entry
+// caches nothing (and persists nothing), while a budget of exactly one
+// entry holds it.
 func TestOversizeEntryDropped(t *testing.T) {
-	c, err := Open(Config{MaxBytes: entryOverhead + 64})
+	dir := t.TempDir()
+	c, err := Open(Config{Dir: dir, MaxBytes: entryOverhead - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(9)
+	c.PutVerdict(k, Verdict{Class: 2})
+	if _, ok := c.Verdict(k); ok || c.Len() != 0 {
+		t.Fatalf("entry larger than the budget was cached (Len %d)", c.Len())
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Open(Config{Dir: dir, MaxBytes: entryOverhead})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		if err := c.Close(); err != nil {
+		if err := c2.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}()
-	k := testKey(9)
-	c.PutFeatures(k, make([]float64, 1000)) // 8128 bytes: larger than the whole budget
-	if _, ok := c.Features(k); ok {
-		t.Fatal("oversize entry was cached")
+	if c2.Len() != 0 {
+		t.Fatalf("dropped entry was persisted: replayed Len = %d", c2.Len())
 	}
-	c.PutVerdict(k, Verdict{Class: 2})
-	if _, ok := c.Verdict(k); !ok {
-		t.Fatal("normal entry rejected")
+	c2.PutVerdict(k, Verdict{Class: 2})
+	if _, ok := c2.Verdict(k); !ok {
+		t.Fatal("entry that fits the budget rejected")
 	}
 }
 

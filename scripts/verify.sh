@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full per-PR verification: build, tests, vet, formatting, the
 # allocation and equivalence guards on both the single-worker and the
-# sharded pool, the repo's own nine-analyzer lint pass, and the race
-# detector over every package with concurrency. Mirrors the "Full
-# verify" block in ROADMAP.md.
+# sharded pool, the repo's own nine-analyzer lint pass, the race
+# detector over every package with concurrency, and a short fuzz run
+# over the cache log replay. Mirrors the "Full verify" block in
+# ROADMAP.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,5 +42,8 @@ echo "== race suite"
 go test -race ./internal/features ./internal/nn ./internal/core \
     ./internal/par ./internal/walk ./internal/autoenc ./internal/cnn \
     ./internal/obs ./internal/lint ./internal/store ./internal/fleet ./internal/registry
+
+echo "== fuzz smoke: cache log replay"
+go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s ./internal/store
 
 echo "verify: OK"
