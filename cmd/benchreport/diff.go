@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"text/tabwriter"
 )
 
@@ -132,8 +133,31 @@ func writeDiffContext(w io.Writer, baselinePath string, base, cur *Report) {
 	}
 }
 
-// reportContext formats a report's generatedAt/platform/cpu fields as a
-// parenthesized suffix, empty when the report carries none of them.
+// sameMachine returns an error naming every machine field — cpu, nproc,
+// GOMAXPROCS — on which the baseline differs from the current run, nil
+// when all three match. A field the baseline predates counts as a
+// difference: it cannot show the two runs are comparable.
+func sameMachine(base, cur *Report) error {
+	var diffs []string
+	if base.CPU != cur.CPU {
+		diffs = append(diffs, fmt.Sprintf("cpu %q vs %q", base.CPU, cur.CPU))
+	}
+	if base.NProc != cur.NProc {
+		diffs = append(diffs, fmt.Sprintf("nproc %d vs %d", base.NProc, cur.NProc))
+	}
+	if base.GOMAXPROCS != cur.GOMAXPROCS {
+		diffs = append(diffs, fmt.Sprintf("GOMAXPROCS %d vs %d", base.GOMAXPROCS, cur.GOMAXPROCS))
+	}
+	if len(diffs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("baseline was recorded on a different machine (%s; baseline vs current): re-record it on this one",
+		strings.Join(diffs, ", "))
+}
+
+// reportContext formats a report's generatedAt, platform, cpu and core
+// fields as a parenthesized suffix, empty when the report carries none
+// of them.
 func reportContext(r *Report) string {
 	var parts []string
 	if r.GeneratedAt != "" {
@@ -144,6 +168,9 @@ func reportContext(r *Report) string {
 	}
 	if r.CPU != "" {
 		parts = append(parts, r.CPU)
+	}
+	if r.NProc != 0 || r.GOMAXPROCS != 0 {
+		parts = append(parts, fmt.Sprintf("nproc %d, GOMAXPROCS %d", r.NProc, r.GOMAXPROCS))
 	}
 	if len(parts) == 0 {
 		return ""

@@ -207,3 +207,35 @@ func TestWriteDiffs(t *testing.T) {
 		}
 	}
 }
+
+// TestSameMachineRefusesCrossMachineBaseline pins the -baseline gate:
+// a baseline recorded on another CPU, core count or GOMAXPROCS — or one
+// predating those fields — is refused, naming each differing field.
+func TestSameMachineRefusesCrossMachineBaseline(t *testing.T) {
+	cur := &Report{CPU: "Xeon @ 2.10GHz", NProc: 2, GOMAXPROCS: 2}
+	same := *cur
+	if err := sameMachine(&same, cur); err != nil {
+		t.Fatalf("same machine refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		base Report
+		want []string
+	}{
+		{"cpu", Report{CPU: "Xeon @ 2.70GHz", NProc: 2, GOMAXPROCS: 2}, []string{"cpu"}},
+		{"nproc", Report{CPU: cur.CPU, NProc: 8, GOMAXPROCS: 2}, []string{"nproc 8 vs 2"}},
+		{"gomaxprocs", Report{CPU: cur.CPU, NProc: 2, GOMAXPROCS: 1}, []string{"GOMAXPROCS 1 vs 2"}},
+		{"predates fields", Report{CPU: cur.CPU}, []string{"nproc 0 vs 2", "GOMAXPROCS 0 vs 2"}},
+	} {
+		err := sameMachine(&tc.base, cur)
+		if err == nil {
+			t.Errorf("%s: cross-machine baseline accepted", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, w)
+			}
+		}
+	}
+}

@@ -12,14 +12,21 @@
 // into each benchmark's "metrics" map rather than dropped, so
 // throughput records survive alongside ns/op.
 //
+// Each report records the machine it ran on: the CPU model from the
+// benchmark header, plus the core count (nproc) and GOMAXPROCS of the
+// reporting process, whose environment a `go test` it runs inherits.
+//
 // With -baseline the run is also diffed against a previous report:
 // per-benchmark ns/op and allocs/op deltas go to stdout (custom-metric
 // deltas are listed informationally below the table), and the exit
 // status is nonzero when any shared benchmark slowed down (or grew its
-// allocation count) by more than -max-regress allows:
+// allocation count) by more than -max-regress allows. A baseline whose
+// cpu, nproc or GOMAXPROCS differs from the current run's is refused
+// with a nonzero exit before any diff: a cross-machine delta measures
+// the hardware as much as the code.
 //
 //	benchreport -bench 'Fit|Epoch|MatMul' -pkg ./internal/... \
-//	    -baseline BENCH_2.json -max-regress 1.15
+//	    -baseline base.json -max-regress 1.15
 package main
 
 import (
@@ -30,6 +37,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -56,6 +64,8 @@ type Report struct {
 	GOOS        string   `json:"goos,omitempty"`
 	GOARCH      string   `json:"goarch,omitempty"`
 	CPU         string   `json:"cpu,omitempty"`
+	NProc       int      `json:"nproc,omitempty"`
+	GOMAXPROCS  int      `json:"gomaxprocs,omitempty"`
 	Pkg         string   `json:"pkg,omitempty"`
 	Benchmarks  []Result `json:"benchmarks"`
 }
@@ -106,8 +116,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 		os.Exit(1)
 	}
-	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	rep.Command = command
+	stamp(rep, command)
 
 	w := io.Writer(os.Stdout)
 	var outFile *os.File
@@ -142,12 +151,26 @@ func main() {
 			os.Exit(1)
 		}
 		writeDiffContext(os.Stdout, *baseline, base, rep)
+		if err := sameMachine(base, rep); err != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: %s: %v\n", *baseline, err)
+			os.Exit(1)
+		}
 		diffs, onlyBase, onlyCur := Diff(base, rep, *maxRegress)
 		if writeDiffs(os.Stdout, diffs, onlyBase, onlyCur) {
 			fmt.Fprintf(os.Stderr, "benchreport: regression beyond %.2fx vs %s\n", *maxRegress, *baseline)
 			os.Exit(1)
 		}
 	}
+}
+
+// stamp fills the report fields the benchmark output does not carry:
+// when and by what command it was made, and the reporting process's
+// core count and GOMAXPROCS.
+func stamp(rep *Report, command string) {
+	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	rep.Command = command
+	rep.NProc = runtime.NumCPU()
+	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 }
 
 // readReport loads a previously emitted BENCH_<n>.json.

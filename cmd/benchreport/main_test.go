@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,31 @@ func TestParseEmptyErrors(t *testing.T) {
 func TestParseBadLineErrors(t *testing.T) {
 	if _, err := Parse(strings.NewReader("BenchmarkX abc 5 ns/op\n")); err == nil {
 		t.Fatal("bad iteration count should error")
+	}
+}
+
+// TestStampRecordsMachine pins that every report carries the core
+// count and GOMAXPROCS it was measured under, in its JSON form too.
+func TestStampRecordsMachine(t *testing.T) {
+	rep, err := Parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp(rep, "go test -bench .")
+	if rep.NProc != runtime.NumCPU() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("nproc %d, GOMAXPROCS %d; want %d, %d",
+			rep.NProc, rep.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	if rep.GeneratedAt == "" || rep.Command != "go test -bench ." {
+		t.Fatalf("generatedAt %q, command %q", rep.GeneratedAt, rep.Command)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"nproc":`, `"gomaxprocs":`} {
+		if !strings.Contains(string(data), field) {
+			t.Errorf("encoded report missing %s:\n%s", field, data)
+		}
 	}
 }

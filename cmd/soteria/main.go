@@ -14,11 +14,11 @@
 // and -load skips training entirely. Analysis prints one line per
 // input: verdict, reconstruction error, and class.
 //
-// Repeat submissions are served from a content-addressed verdict
-// cache (in-memory by default; -cache-dir persists it across
-// restarts, -cache-max-bytes bounds it, -no-cache disables it). Cache
-// keys include the model fingerprint, so swapping models never serves
-// stale verdicts.
+// Repeat submissions, and padded variants that disassemble to the same
+// CFG, are served from a structure-addressed verdict cache (in-memory
+// by default; -cache-dir persists it across restarts, -cache-max-bytes
+// bounds it, -no-cache disables it). Cache keys include the model
+// fingerprint, so swapping models never serves stale verdicts.
 //
 // -serve starts an HTTP server instead of analyzing files: POST raw
 // SOTB bytes to /analyze (optional ?salt=N) for a JSON decision served
@@ -256,14 +256,14 @@ func run(args []string) error {
 		return serveFleetSpawn(*fleetAddr, fleetN, sys, *noCache, *cacheMaxBytes)
 	}
 
-	// Validate each file up front (so an unreadable or malformed file is
-	// named precisely), then score the whole set from raw bytes in one
-	// batched pass — the binary path consults the content-addressed
-	// cache. Every file shares the -salt value (default 0): cache keys
-	// are (content, salt, model), so a content-stable salt lets duplicate
+	// Parse and disassemble each file once (so an unreadable or
+	// malformed file is named precisely), then score the CFGs in one
+	// batched pass that consults the structure-addressed cache. Every
+	// file shares the -salt value (default 0): cache keys are (CFG
+	// structure, salt, model), so a content-stable salt lets duplicate
 	// inputs — in one run or across runs at different argv positions —
 	// share one key instead of defeating the cache positionally.
-	raws := make([][]byte, len(files))
+	cfgs := make([]*soteria.CFG, len(files))
 	salts := make([]int64, len(files))
 	for i, f := range files {
 		raw, err := os.ReadFile(f)
@@ -274,16 +274,15 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", f, err)
 		}
-		if _, err := soteria.Disassemble(bin); err != nil {
+		if cfgs[i], err = soteria.Disassemble(bin); err != nil {
 			return fmt.Errorf("%s: %w", f, err)
 		}
-		raws[i] = raw
 		salts[i] = *salt
 	}
 	if len(files) == 0 {
 		return nil
 	}
-	decs, err := sys.AnalyzeBinaryBatch(raws, salts)
+	decs, err := sys.AnalyzeBatch(cfgs, salts)
 	if err != nil {
 		return err
 	}

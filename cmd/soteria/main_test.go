@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"soteria"
+	"soteria/internal/gea"
 	"soteria/internal/malgen"
 )
 
@@ -153,12 +154,15 @@ func TestRunCacheDir(t *testing.T) {
 	}
 }
 
-// TestRunDuplicateFilesShareCacheKey pins the content-stable salt fix:
-// file-mode salts used to be the argv position (salts[i] = int64(i)),
-// so the same binary listed twice — or listed at a different position
-// in a later run — got distinct cache keys and defeated the cache.
-// With a constant salt, any number of appearances of one binary, in
-// any order, produce exactly one cached verdict.
+// TestRunDuplicateFilesShareCacheKey pins the content-stable salt fix
+// and the structural cache key. File-mode salts used to be the argv
+// position (salts[i] = int64(i)), so the same binary listed twice — or
+// listed at a different position in a later run — got distinct cache
+// keys and defeated the cache. Keys used to hash the raw bytes, so a
+// copy padded with unreachable bytes missed too. With a constant salt
+// and a key on the CFG's structure, any number of appearances of one
+// binary or its padded copy, in any order, produce exactly one cached
+// verdict.
 func TestRunDuplicateFilesShareCacheKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -168,9 +172,14 @@ func TestRunDuplicateFilesShareCacheKey(t *testing.T) {
 	cacheDir := filepath.Join(dir, "cache")
 	fileA := filepath.Join(dir, "a.sotb")
 	fileB := filepath.Join(dir, "b.sotb") // byte-identical copy of A
+	fileC := filepath.Join(dir, "c.sotb") // A with bytes appended past its final halt
 
 	gen := malgen.NewGenerator(malgen.Config{Seed: 8})
 	s, err := gen.SampleSized(malgen.Mirai, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := gen.SampleSized(malgen.Gafgyt, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,20 +187,25 @@ func TestRunDuplicateFilesShareCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{fileA, fileB} {
-		if err := os.WriteFile(f, raw, 0o644); err != nil {
+	padded, err := gea.AppendBytesAE(s.Binary, donor.Binary).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, data := range map[string][]byte{fileA: raw, fileB: raw, fileC: padded} {
+		if err := os.WriteFile(f, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Run 1: the duplicate listed twice. Run 2: same content at a
-	// different argv position. Under position salts the four appearances
-	// spanned three distinct keys; under the content-stable salt they
-	// share one.
+	// different argv position, plus the padded copy. Under position
+	// salts the four duplicate appearances spanned three distinct keys,
+	// and under byte keys the padded copy added one more; under the
+	// content-stable salt and the structural key they all share one.
 	if err := run([]string{"-train-per-class", "3", "-save", model, "-cache-dir", cacheDir, fileA, fileB}); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if err := run([]string{"-load", model, "-cache-dir", cacheDir, fileB, fileA}); err != nil {
+	if err := run([]string{"-load", model, "-cache-dir", cacheDir, fileB, fileA, fileC}); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	cache, err := soteria.OpenCache(soteria.CacheConfig{Dir: cacheDir})

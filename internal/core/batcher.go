@@ -46,11 +46,9 @@ type request struct {
 	dec  *Decision
 	err  error
 	done chan struct{}
-	// key is the request's cache key; withKey marks it valid (set for
-	// every request when the pipeline has a cache attached), which asks
-	// the scoring stage to fill the cache with this sample's results.
-	key     store.Key
-	withKey bool
+	// key is the request's cache key, valid exactly when the pipeline
+	// has a cache attached (AttachCache never runs while serving).
+	key store.Key
 	// t0 is the queue-wait start stamp, the zero time when the batcher
 	// is uninstrumented (obs.Histogram.Start on nil reads no clock).
 	t0 time.Time
@@ -178,9 +176,9 @@ func (b *Batcher) SubmitCtx(ctx context.Context, c *disasm.CFG, salt int64) (*De
 		case <-b.stop:
 			return nil, ErrBatcherClosed
 		}
-		return b.enqueue(ctx, &request{cfg: c, salt: salt, key: k, withKey: true, done: make(chan struct{}), t0: b.met.waitNs.Start()})
+		return b.enqueue(ctx, &request{cfg: c, salt: salt, key: k, done: make(chan struct{}), t0: b.met.waitNs.Start()})
 	}
-	d, err := b.enqueue(ctx, &request{cfg: c, salt: salt, key: k, withKey: true, done: make(chan struct{}), t0: b.met.waitNs.Start()})
+	d, err := b.enqueue(ctx, &request{cfg: c, salt: salt, key: k, done: make(chan struct{}), t0: b.met.waitNs.Start()})
 	// Publish to the followers whatever happened — on success the
 	// scoring stage already stored the verdict; on failure (including
 	// our own cancellation) ok=false sends them back to submit
@@ -322,18 +320,14 @@ func (b *Batcher) serve(batch []*request, reason *obs.Counter) {
 	b.cfgs = b.cfgs[:0]
 	b.salts = b.salts[:0]
 	b.keys = b.keys[:0]
-	withKeys := true
 	for _, r := range batch {
 		b.cfgs = append(b.cfgs, r.cfg)
 		b.salts = append(b.salts, r.salt)
 		b.keys = append(b.keys, r.key)
-		if !r.withKey {
-			withKeys = false
-		}
 		b.met.waitNs.Stop(r.t0)
 	}
 	var keys []store.Key
-	if withKeys && b.p.cache != nil {
+	if b.p.cache != nil {
 		keys = b.keys
 	}
 	decs, errs := b.p.analyzeBatch(b.cfgs, b.salts, keys)

@@ -1,7 +1,7 @@
 // Serving-path benchmarks: the scoring stage of AnalyzeBatch (detector
 // reconstruction errors + ensemble votes over a pre-extracted corpus),
 // the end-to-end batch analyze path, and the
-// content-addressed cache's hit path and repeat-rate throughput.
+// structure-addressed cache's hit path and repeat-rate throughput.
 // Recorded per PR as BENCH_<n>.json — most recently BENCH_7.json
 // (result cache) against BENCH_7_BASELINE.json via
 //
@@ -185,9 +185,11 @@ func attachBenchCache(b *testing.B, p *Pipeline) func() {
 	}
 }
 
-// BenchmarkAnalyzeCachedHit measures a warm verdict-tier hit on
-// AnalyzeBinary: sha256 the submission, look up the decision, skip
-// parse/disassembly/extraction/scoring entirely. With
+// BenchmarkAnalyzeCachedHit measures a warm verdict hit on
+// AnalyzeBinary: parse and disassemble the submission, digest its CFG,
+// look up the decision, and skip extraction and scoring entirely. The
+// parse and disassembly dominate it; TestVerdictHitAllocationBound pins
+// the lookup alone, over an already-disassembled CFG. With
 // SOTERIA_BENCH_NOCACHE=1 the same calls run uncached, so the baseline
 // diff is the full miss-vs-hit cost of one repeat submission.
 func BenchmarkAnalyzeCachedHit(b *testing.B) {

@@ -1,15 +1,18 @@
 package core
 
 // Cache integration: an attached store.Cache memoizes final verdicts
-// keyed by (content hash, salt, model fingerprint), turning a repeat
-// submission into a hash lookup that skips parsing, disassembly,
-// extraction and scoring. Two places speak the cache protocol:
-// AnalyzeBinaryBatch (byte keys; AnalyzeBinary is its one-element
-// form) and Batcher.SubmitCtx (CFG keys, plus singleflight). Keys carry
-// the model fingerprint, so a retrained or different model can never
-// serve another model's results, and all cached decisions are
-// bit-identical to the uncached path by construction — the cache
-// stores outputs, it never changes how they are computed.
+// keyed by (CFG structure, salt, model fingerprint), turning a repeat
+// submission into a lookup that skips extraction and scoring. The key
+// is the CFG's structural digest, never the raw bytes: the detector
+// reads only the CFG, so byte-level edits that leave it unchanged
+// (appended unreachable bytes or sections) share one entry. Two places
+// speak the cache protocol: AnalyzeBatch (hit/miss partition;
+// AnalyzeBinaryBatch and AnalyzeBinary disassemble, then call it) and
+// Batcher.SubmitCtx (plus singleflight). Keys carry the model
+// fingerprint, so a retrained or different model can never serve
+// another model's results, and all cached decisions are bit-identical
+// to the uncached path by construction — the cache stores outputs, it
+// never changes how they are computed.
 
 import (
 	"crypto/sha256"
@@ -41,18 +44,13 @@ func (p *Pipeline) AttachCache(c *store.Cache) error {
 // Cache returns the attached cache, nil when uncached.
 func (p *Pipeline) Cache() *store.Cache { return p.cache }
 
-// byteKey keys a raw binary submission. sha256.Sum256 keeps the
-// verdict-hit path allocation-free.
-func (p *Pipeline) byteKey(raw []byte, salt int64) store.Key {
-	return store.Key{Content: sha256.Sum256(raw), Salt: salt, Model: p.modelFP}
-}
-
 // cfgKey keys an already-disassembled CFG by a canonical structural
 // digest. Extraction depends only on the graph's node count, entry
 // node, edge set, salt, and the (fingerprinted) extractor config —
 // never on block contents — so two CFGs with identical structure are
-// interchangeable inputs and may share cache entries. The digest is
-// domain-separated from byteKey's raw-content hashes.
+// interchangeable inputs and may share cache entries. The
+// "soteria/cfg/v1" prefix versions the digest and keeps it disjoint
+// from the raw-byte keys that logs written before it may still hold.
 func (p *Pipeline) cfgKey(c *disasm.CFG, salt int64) store.Key {
 	h := sha256.New()
 	var buf [16]byte

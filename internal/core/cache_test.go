@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"soteria/internal/disasm"
+	"soteria/internal/gea"
+	"soteria/internal/isa"
 	"soteria/internal/malgen"
 	"soteria/internal/obs"
 	"soteria/internal/store"
@@ -138,11 +140,15 @@ func TestCachedDecisionEquivalence(t *testing.T) {
 
 func mustCFG(t *testing.T, p *Pipeline, raw []byte) *disasm.CFG {
 	t.Helper()
-	cfgs, err := p.disassembleAll([][]byte{raw}, nil)
+	bin, err := isa.DecodeBinary(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfgs[0]
+	cfg, err := disasm.Disassemble(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // TestFingerprintInvalidatesAcrossModels shares one cache between two
@@ -207,10 +213,11 @@ func TestFingerprintInvalidatesAcrossModels(t *testing.T) {
 	if _, err := p1.AnalyzeBinary(raw, salt); err != nil { // p1 fills the cache
 		t.Fatal(err)
 	}
-	if p1.byteKey(raw, salt) == p2.byteKey(raw, salt) {
+	cfg := mustCFG(t, p1, raw)
+	if p1.cfgKey(cfg, salt) == p2.cfgKey(cfg, salt) {
 		t.Fatal("two models produced the same cache key")
 	}
-	if _, ok := shared.Verdict(p2.byteKey(raw, salt)); ok {
+	if _, ok := shared.Verdict(p2.cfgKey(cfg, salt)); ok {
 		t.Fatal("p1's fill is visible under p2's key")
 	}
 	got, err := p2.AnalyzeBinary(raw, salt) // must be p2's own (fresh) result
@@ -365,12 +372,13 @@ func samplesCount(reg *obs.Registry) uint64 {
 }
 
 // TestVerdictHitAllocationBound pins the warm verdict-hit budget: a
-// repeat AnalyzeBinary is a hash, a map lookup, and one Decision —
-// at most 5 allocations, instrumented.
+// repeat AnalyzeBatch over an already-disassembled CFG is a structural
+// digest, a map lookup, and one Decision — at most 5 allocations,
+// instrumented.
 func TestVerdictHitAllocationBound(t *testing.T) {
 	p, _, raws := cachePipeline(t)
-	raw := raws[2]
-	const salt = 77
+	cfgs := []*disasm.CFG{mustCFG(t, p, raws[2])}
+	salts := []int64{77}
 	c := memCache(t)
 	if err := p.AttachCache(c); err != nil {
 		t.Fatal(err)
@@ -380,16 +388,91 @@ func TestVerdictHitAllocationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if _, err := p.AnalyzeBinary(raw, salt); err != nil {
+	if _, err := p.AnalyzeBatch(cfgs, salts); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := p.AnalyzeBinary(raw, salt); err != nil {
+		if _, err := p.AnalyzeBatch(cfgs, salts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 5 {
 		t.Fatalf("verdict hit allocates %.0f/op, budget is 5", allocs)
+	}
+}
+
+// TestEntryPointsShareKeyspace pins the single structural keyspace: a
+// verdict filled by AnalyzeBinaryBatch serves a Batcher submission of
+// the same CFG and an AnalyzeBinary call on a copy padded with an
+// unreachable section — the padding changes the bytes, not the CFG.
+func TestEntryPointsShareKeyspace(t *testing.T) {
+	p, reg, raws := cachePipeline(t)
+	const salt = 515
+	cfg := mustCFG(t, p, raws[3])
+	baseline, err := p.Analyze(cfg, salt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := isa.DecodeBinary(raws[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := isa.DecodeBinary(raws[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded, err := gea.AppendSectionAE(bin, donor).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(padded, raws[3]) {
+		t.Fatal("padding left the bytes unchanged")
+	}
+
+	c, err := store.Open(store.Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if err := p.AttachCache(c); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := p.AttachCache(nil); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if _, err := p.AnalyzeBinaryBatch([][]byte{raws[3]}, []int64{salt}); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatcher(p, BatcherConfig{})
+	defer b.Close()
+
+	hitC := reg.Counter("cache.hit")
+	hit0, samples0 := hitC.Value(), samplesCount(reg)
+	viaBatcher, err := b.Submit(cfg, salt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaPadded, err := p.AnalyzeBinary(padded, salt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := hitC.Value() - hit0; d != 2 {
+		t.Errorf("cache.hit moved by %d, want 2", d)
+	}
+	if d := samplesCount(reg) - samples0; d != 0 {
+		t.Errorf("%d samples scored, want 0", d)
+	}
+	if !sameDecision(viaBatcher, baseline) {
+		t.Errorf("batcher decision %+v != uncached %+v", viaBatcher, baseline)
+	}
+	if !sameDecision(viaPadded, baseline) {
+		t.Errorf("padded decision %+v != uncached %+v", viaPadded, baseline)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"soteria/internal/cnn"
 	"soteria/internal/disasm"
 	"soteria/internal/features"
+	"soteria/internal/isa"
 	"soteria/internal/malgen"
 	"soteria/internal/nn"
 	"soteria/internal/obs"
@@ -383,15 +384,48 @@ func (p *Pipeline) getChunk() *chunkBuf {
 // overlaps the scoring of the current one. Results are bit-identical
 // to per-sample Analyze calls with the same salts; a failing sample's
 // error carries its index.
+//
+// With a cache attached the batch partitions by each CFG's structural
+// key: verdict hits are served immediately, and only the misses flow
+// through the pipeline, whose scoring stage fills the cache.
 func (p *Pipeline) AnalyzeBatch(cfgs []*disasm.CFG, salts []int64) ([]*Decision, error) {
 	if len(cfgs) != len(salts) {
 		return nil, fmt.Errorf("core: %d cfgs but %d salts", len(cfgs), len(salts))
 	}
-	out, errs := p.analyzeBatch(cfgs, salts, nil)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if p.cache == nil {
+		out, errs := p.analyzeBatch(cfgs, salts, nil)
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
+		return out, nil
+	}
+
+	out := make([]*Decision, len(cfgs))
+	var missIdx []int
+	var missCFGs []*disasm.CFG
+	var missSalts []int64
+	var missKeys []store.Key
+	for i, c := range cfgs {
+		k := p.cfgKey(c, salts[i])
+		t := p.met.cacheHitNs.Start()
+		if v, ok := p.cache.Verdict(k); ok {
+			p.met.cacheHitNs.Stop(t)
+			out[i] = decisionOf(v)
+			continue
+		}
+		missIdx = append(missIdx, i)
+		missCFGs = append(missCFGs, c)
+		missSalts = append(missSalts, salts[i])
+		missKeys = append(missKeys, k)
+	}
+	decs, errs := p.analyzeBatch(missCFGs, missSalts, missKeys)
+	for j, i := range missIdx {
+		if errs[j] != nil {
+			return nil, fmt.Errorf("core: sample %d: %w", i, errs[j])
+		}
+		out[i] = decs[j]
 	}
 	return out, nil
 }
@@ -544,8 +578,7 @@ func (p *Pipeline) scoreChunk(c *chunkBuf, out []*Decision, errs []error, keys [
 
 // AnalyzeBinary disassembles and analyzes one raw SOTB binary. It is
 // the one-element AnalyzeBinaryBatch, so it shares that path's cache
-// protocol: with a cache attached, a verdict hit is a hash and a map
-// lookup, before any parsing or disassembly.
+// protocol.
 func (p *Pipeline) AnalyzeBinary(bin []byte, salt int64) (*Decision, error) {
 	out, err := p.AnalyzeBinaryBatch([][]byte{bin}, []int64{salt})
 	if err != nil {
@@ -554,83 +587,25 @@ func (p *Pipeline) AnalyzeBinary(bin []byte, salt int64) (*Decision, error) {
 	return out[0], nil
 }
 
-// AnalyzeBinaryBatch disassembles and analyzes many raw SOTB binaries
-// in one batched pass. A binary that fails to parse or disassemble
-// aborts the batch with its index in the error. With a cache attached
-// the batch partitions: verdict hits are served immediately, and only
-// the misses flow through the two-stage extract/score pipeline (which
-// fills the cache as it goes). Per-sample results are bit-identical
-// either way.
+// AnalyzeBinaryBatch parses and disassembles every raw SOTB binary,
+// then analyzes the CFGs with AnalyzeBatch, which consults the attached
+// cache by CFG structure. A binary that fails to parse or disassemble
+// aborts the batch with its index in the error.
 func (p *Pipeline) AnalyzeBinaryBatch(bins [][]byte, salts []int64) ([]*Decision, error) {
 	if len(bins) != len(salts) {
 		return nil, fmt.Errorf("core: %d binaries but %d salts", len(bins), len(salts))
 	}
-	if p.cache == nil {
-		cfgs, err := p.disassembleAll(bins, nil)
-		if err != nil {
-			return nil, err
-		}
-		return p.AnalyzeBatch(cfgs, salts)
-	}
-
-	out := make([]*Decision, len(bins))
-	var missIdx []int
-	var missKeys []store.Key
-	for i, bin := range bins {
-		k := p.byteKey(bin, salts[i])
-		t := p.met.cacheHitNs.Start()
-		if v, ok := p.cache.Verdict(k); ok {
-			p.met.cacheHitNs.Stop(t)
-			out[i] = decisionOf(v)
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missKeys = append(missKeys, k)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	missBins := make([][]byte, len(missIdx))
-	missSalts := make([]int64, len(missIdx))
-	for j, i := range missIdx {
-		missBins[j] = bins[i]
-		missSalts[j] = salts[i]
-	}
-	cfgs, err := p.disassembleAll(missBins, missIdx)
-	if err != nil {
-		return nil, err
-	}
-	decs, errs := p.analyzeBatch(cfgs, missSalts, missKeys)
-	for j, i := range missIdx {
-		if errs[j] != nil {
-			return nil, fmt.Errorf("core: sample %d: %w", i, errs[j])
-		}
-		out[i] = decs[j]
-	}
-	return out, nil
-}
-
-// disassembleAll parses and disassembles every binary; a failure
-// aborts with the sample's index. idx, when non-nil, maps local
-// positions back to the caller's original indices for error messages.
-func (p *Pipeline) disassembleAll(bins [][]byte, idx []int) ([]*disasm.CFG, error) {
 	cfgs := make([]*disasm.CFG, len(bins))
-	for i, bin := range bins {
-		n := i
-		if idx != nil {
-			n = idx[i]
-		}
-		parsed, err := parseBinary(bin)
+	for i, raw := range bins {
+		bin, err := isa.DecodeBinary(raw)
 		if err != nil {
-			return nil, fmt.Errorf("core: sample %d: %w", n, err)
+			return nil, fmt.Errorf("core: sample %d: parse binary: %w", i, err)
 		}
-		g, err := disasm.Disassemble(parsed)
-		if err != nil {
-			return nil, fmt.Errorf("core: sample %d: disassemble: %w", n, err)
+		if cfgs[i], err = disasm.Disassemble(bin); err != nil {
+			return nil, fmt.Errorf("core: sample %d: disassemble: %w", i, err)
 		}
-		cfgs[i] = g
 	}
-	return cfgs, nil
+	return p.AnalyzeBatch(cfgs, salts)
 }
 
 // Options returns the training options.

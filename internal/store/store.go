@@ -1,8 +1,10 @@
 // Package store is a crash-safe, content-addressed result cache for
 // the serving path: it memoizes final verdicts keyed by (content hash,
-// salt, model fingerprint), so a repeat submission of byte-identical
-// input skips the entire extract+score pipeline and becomes a hash
-// lookup.
+// salt, model fingerprint), so a repeat submission skips the entire
+// extract+score pipeline and becomes a hash lookup. Its one producer,
+// package core, hashes the structure of the disassembled CFG, so
+// inputs that differ only in bytes the disassembler never reaches
+// share an entry.
 //
 // The design is an append-only record log with an in-memory index:
 //
@@ -38,8 +40,8 @@ import (
 )
 
 // Key addresses one memoized result. Content is a collision-resistant
-// hash of the submitted input (raw binary bytes, or a canonical CFG
-// digest — the two producers domain-separate their hashes), Salt is
+// hash of the submitted input (its one producer is core's canonical
+// digest of the CFG's structure), Salt is
 // the walk-randomness salt the result was computed under, and Model
 // fingerprints the full serialized model state, so a retrained model
 // can never serve another model's entries.

@@ -160,10 +160,11 @@ func (s *System) NewBatcher(cfg BatcherConfig) *Batcher {
 // replacement.
 func (s *System) Pipeline() *core.Pipeline { return s.pipeline }
 
-// Cache is a crash-safe, content-addressed result cache: it memoizes
-// feature vectors and verdicts keyed by (content hash, salt, model
-// fingerprint), turning repeat submissions of identical input into
-// hash lookups. See OpenCache and System.AttachCache.
+// Cache is a crash-safe result cache: it memoizes verdicts keyed by
+// (CFG structure digest, salt, model fingerprint), turning repeat
+// submissions of the same CFG — including byte-padded copies that
+// disassemble to it — into lookups. See OpenCache and
+// System.AttachCache.
 type Cache = store.Cache
 
 // CacheConfig configures OpenCache: an on-disk directory (empty for
@@ -182,8 +183,9 @@ const DefaultCacheMaxBytes = store.DefaultMaxBytes
 func OpenCache(cfg CacheConfig) (*Cache, error) { return store.Open(cfg) }
 
 // AttachCache attaches (nil detaches) a result cache to the system:
-// AnalyzeBinary, AnalyzeBinaryBatch and Batcher submissions consult it
-// before doing any work and fill it as they compute. Keys include the
+// AnalyzeBatch, AnalyzeBinary, AnalyzeBinaryBatch and Batcher
+// submissions consult it before extracting or scoring and fill it as
+// they compute. Keys include the
 // model's fingerprint, so a cache may be shared between models (or
 // survive a retrain) without ever serving stale verdicts, and cached
 // decisions are bit-identical to uncached ones. Attach before serving
